@@ -1,8 +1,8 @@
 // Micro-benchmarks of the substrate (google-benchmark): event loop, queue
 // operations, state serialization, network path, RNG -- plus a wall-clock
-// seed-sweep throughput report (BENCH_substrate.json) comparing the
-// serial/parallel and per-message/batched-delivery configurations, which is
-// where the substrate's seeds-per-minute acceptance number comes from.
+// seed-sweep throughput report (BENCH_substrate.json) comparing serial and
+// parallel sweeps, which is where the substrate's seeds-per-minute
+// acceptance number comes from.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -51,7 +51,7 @@ void BM_SimulatorTimerWheel(benchmark::State& state) {
 BENCHMARK(BM_SimulatorTimerWheel);
 
 void BM_SimulatorScheduleCancel(benchmark::State& state) {
-  // The timer-reset pattern (ARQ retries, pump reschedules): schedule, cancel
+  // The timer-reset pattern (ARQ retries, stall timers): schedule, cancel
   // before firing, schedule again. Exercises slot release at cancel time.
   Simulator sim;
   for (auto _ : state) {
@@ -134,13 +134,10 @@ void BM_NetworkSendDeliver(benchmark::State& state) {
 BENCHMARK(BM_NetworkSendDeliver);
 
 void BM_NetworkControlBurst(benchmark::State& state) {
-  // A burst of zero-transmit control messages on one link: they all arrive at
-  // the same instant, so batched delivery (arg 1) coalesces the burst into
-  // one scheduled event where the per-message path (arg 0) schedules 64.
+  // A burst of zero-transmit control messages on one link: all 64 arrive at
+  // the same instant, each as its own scheduled event.
   Simulator sim;
-  Network::Params params;
-  params.batchedDelivery = state.range(0) != 0;
-  Network net(sim, params, nullptr);
+  Network net(sim, Network::Params{}, nullptr);
   for (auto _ : state) {
     for (int i = 0; i < 64; ++i) {
       net.send(0, 1, MsgKind::kControl, 0, 0, [] {});
@@ -149,7 +146,7 @@ void BM_NetworkControlBurst(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_NetworkControlBurst)->Arg(0)->Arg(1);
+BENCHMARK(BM_NetworkControlBurst);
 
 void BM_MachineDataTask(benchmark::State& state) {
   Simulator sim;
@@ -183,13 +180,13 @@ BENCHMARK(BM_RngExponential);
 // -- Seed-sweep throughput report (BENCH_substrate.json) ----------------------
 //
 // The substrate's end-to-end acceptance number: chaos-style seeds per minute
-// of wall clock, measured for the per-message serial baseline and for the
-// batched + parallel configuration the sweeps actually run with. The JSON is
-// written to $STREAMHA_BENCH_DIR (default: the working directory).
+// of wall clock, measured serially and with the parallel sweep runner the
+// chaos tiers use. The JSON is written to $STREAMHA_BENCH_DIR (default: the
+// working directory).
 
 /// One mid-weight chaos seed: Hybrid, loss + duplicates + jitter, a healed
 /// partition and a restarting crash, compressed into a 10s run.
-ScenarioParams substrateSweepParams(std::uint64_t seed, bool batched) {
+ScenarioParams substrateSweepParams(std::uint64_t seed) {
   ScenarioParams p;
   p.mode = HaMode::kHybrid;
   p.protectedSubjobs = {1, 2};
@@ -197,7 +194,6 @@ ScenarioParams substrateSweepParams(std::uint64_t seed, bool batched) {
   p.failStopAfter = 3 * kSecond;
   p.duration = 10 * kSecond;
   p.seed = seed;
-  p.batchedNetworkDelivery = batched;
   harness::ChaosProfile profile;
   profile.maxDuplicateProb = 0.05;
   profile.maxDelayProb = 0.1;
@@ -210,7 +206,7 @@ ScenarioParams substrateSweepParams(std::uint64_t seed, bool batched) {
   return p;
 }
 
-double measureSeedsPerMinute(int nSeeds, int threads, bool batched) {
+double measureSeedsPerMinute(int nSeeds, int threads) {
   std::vector<std::uint64_t> seeds;
   for (int i = 0; i < nSeeds; ++i) seeds.push_back(1 + i);
   harness::ChaosRunOpts opts;
@@ -223,7 +219,7 @@ double measureSeedsPerMinute(int nSeeds, int threads, bool batched) {
       seeds,
       [&](std::uint64_t seed, std::size_t) {
         const harness::ChaosOutcome out =
-            harness::runChaosScenario(substrateSweepParams(seed, batched), opts);
+            harness::runChaosScenario(substrateSweepParams(seed), opts);
         if (!out.oracle.ok) {
           std::fprintf(stderr, "substrate sweep: seed %llu failed its oracle\n",
                        static_cast<unsigned long long>(seed));
@@ -241,15 +237,9 @@ void writeSubstrateReport() {
   const int threads = sweepThreadCount(0);
   std::printf("\nseed-sweep throughput (%d seeds, %d worker threads)...\n",
               nSeeds, threads);
-  const double serialLegacy = measureSeedsPerMinute(nSeeds, 1, false);
-  const double serialBatched = measureSeedsPerMinute(nSeeds, 1, true);
-  const double parallelBatched = measureSeedsPerMinute(nSeeds, threads, true);
-  const double batchedSpeedup =
-      serialLegacy > 0.0 ? serialBatched / serialLegacy : 0.0;
-  const double parallelSpeedup =
-      serialBatched > 0.0 ? parallelBatched / serialBatched : 0.0;
-  const double substrateSpeedup =
-      serialLegacy > 0.0 ? parallelBatched / serialLegacy : 0.0;
+  const double serial = measureSeedsPerMinute(nSeeds, 1);
+  const double parallel = measureSeedsPerMinute(nSeeds, threads);
+  const double parallelSpeedup = serial > 0.0 ? parallel / serial : 0.0;
 
   const char* dir = std::getenv("STREAMHA_BENCH_DIR");
   const std::string path =
@@ -264,21 +254,14 @@ void writeSubstrateReport() {
                "  \"bench\": \"substrate_seed_sweep\",\n"
                "  \"seeds\": %d,\n"
                "  \"threads\": %d,\n"
-               "  \"serialLegacySeedsPerMinute\": %.2f,\n"
-               "  \"serialBatchedSeedsPerMinute\": %.2f,\n"
-               "  \"parallelBatchedSeedsPerMinute\": %.2f,\n"
-               "  \"batchedSpeedup\": %.3f,\n"
-               "  \"parallelSpeedup\": %.3f,\n"
-               "  \"substrateSpeedup\": %.3f\n"
+               "  \"serialSeedsPerMinute\": %.2f,\n"
+               "  \"parallelSeedsPerMinute\": %.2f,\n"
+               "  \"parallelSpeedup\": %.3f\n"
                "}\n",
-               nSeeds, threads, serialLegacy, serialBatched, parallelBatched,
-               batchedSpeedup, parallelSpeedup, substrateSpeedup);
+               nSeeds, threads, serial, parallel, parallelSpeedup);
   std::fclose(f);
-  std::printf(
-      "seeds/min: serial-legacy %.1f, serial-batched %.1f, "
-      "parallel-batched %.1f (x%.2f vs serial-legacy; report: %s)\n",
-      serialLegacy, serialBatched, parallelBatched, substrateSpeedup,
-      path.c_str());
+  std::printf("seeds/min: serial %.1f, parallel %.1f (x%.2f; report: %s)\n",
+              serial, parallel, parallelSpeedup, path.c_str());
 }
 
 }  // namespace

@@ -116,7 +116,6 @@ void Scenario::build() {
   clusterParams.machineCount = machine_count_;
   clusterParams.seed = params_.seed;
   clusterParams.machine = params_.machineParams;
-  clusterParams.network.batchedDelivery = params_.batchedNetworkDelivery;
   clusterParams.topology = params_.placement.topology;
   cluster_ = std::make_unique<Cluster>(clusterParams);
 

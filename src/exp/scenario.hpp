@@ -204,11 +204,6 @@ struct ScenarioParams {
   std::uint64_t seed = 1;
   Runtime::Costs costs;
   Machine::Params machineParams;
-  /// Coalesce back-to-back same-link deliveries into one scheduled event
-  /// (Network::Params::batchedDelivery). Trace- and result-identical to the
-  /// per-message path; the toggle exists for A/B equivalence tests and the
-  /// substrate bench.
-  bool batchedNetworkDelivery = true;
 };
 
 struct ScenarioResult {

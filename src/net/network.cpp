@@ -111,100 +111,27 @@ void Network::send(MachineId src, MachineId dst, MsgKind kind,
   const std::uint64_t link_key =
       (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
       static_cast<std::uint32_t>(dst);
-  LinkState& link = links_[link_key];
-  const SimTime start = std::max(sim_.now(), link.free_at);
+  SimTime& free_at = link_free_at_[link_key];
+  const SimTime start = std::max(sim_.now(), free_at);
   const auto transmit = static_cast<SimDuration>(
       std::ceil(static_cast<double>(bytes) / params_.bytesPerMicro));
-  link.free_at = start + transmit;
-  const SimTime arrival = link.free_at + params_.latency + fault.extraDelay;
-
-  // A dropped message draws no delivery rank (it never schedules anything),
-  // matching the legacy path event-for-event.
+  free_at = start + transmit;
+  const SimTime arrival = free_at + params_.latency + fault.extraDelay;
   if (fault.drop) return;
 
-  if (!params_.batchedDelivery) {
-    // Legacy path: one scheduled event per delivery. Kept as the A/B
-    // baseline for bench/micro_substrate and the equivalence test.
-    auto deliverOnce = [this, src, dst, kind, bytes, elements,
-                        deliver = std::move(deliver)] {
-      if (machine_up_ && !machine_up_(dst)) return;
-      traceDelivered(src, dst, kind, bytes, elements);
-      deliver();
-    };
-    // Duplicate copies land right after the original (insertion order breaks
-    // the tie deterministically); receivers dedup by sequence watermark.
+  // One scheduled event per delivery. Duplicate copies are identical events
+  // at the same instant with the following insertion ranks; receivers dedup
+  // by sequence watermark.
+  auto deliverOnce = [this, src, dst, kind, bytes, elements,
+                      deliver = std::move(deliver)] {
+    if (machine_up_ && !machine_up_(dst)) return;
+    traceDelivered(src, dst, kind, bytes, elements);
+    deliver();
+  };
+  for (std::uint32_t copy = 0; copy < fault.duplicates; ++copy) {
     sim_.scheduleAt(arrival, deliverOnce);
-    for (std::uint32_t copy = 0; copy < fault.duplicates; ++copy) {
-      sim_.scheduleAt(arrival, deliverOnce);
-    }
-    return;
   }
-
-  // Batched path: park the delivery (and its duplicate copies, which take
-  // the immediately following ranks, exactly like repeated scheduleAt calls
-  // did) in the link heap and make sure the pump covers the new heap-min.
-  const std::uint32_t copies = 1 + fault.duplicates;
-  for (std::uint32_t i = 0; i < copies; ++i) {
-    PendingDelivery d{arrival, sim_.reserveSeq(), src,      dst,
-                      kind,    bytes,             elements, {}};
-    d.deliver = (i + 1 < copies) ? deliver : std::move(deliver);
-    link.heap.push_back(std::move(d));
-    std::push_heap(link.heap.begin(), link.heap.end(), ArrivesLater{});
-  }
-  schedulePump(link_key, link);
-}
-
-// Equivalence argument for the batch: simulator seqs are globally unique
-// integers assigned in reservation order, and events with equal timestamps
-// fire in ascending seq order. The pump is scheduled at the heap-min's exact
-// (arrival, seq) via scheduleReserved, so it fires precisely when that
-// delivery's own event would have. From there it may also deliver the
-// *consecutive-seq* run at the same timestamp: between seq s and s + 1 no
-// other event can exist anywhere in the system, so draining the run inline
-// is indistinguishable from firing each entry as its own event. The first
-// seq gap or timestamp change ends the batch and the pump reschedules at the
-// new heap-min -- any foreign event with a seq inside the gap then fires in
-// its legacy position.
-void Network::pumpLink(std::uint64_t linkKey) {
-  LinkState& link = links_[linkKey];
-  const SimTime now = sim_.now();
-  std::uint64_t prev_seq = 0;
-  bool first = true;
-  while (!link.heap.empty()) {
-    const PendingDelivery& top = link.heap.front();
-    if (top.arrival != now) break;
-    if (!first && top.seq != prev_seq + 1) break;
-    std::pop_heap(link.heap.begin(), link.heap.end(), ArrivesLater{});
-    PendingDelivery d = std::move(link.heap.back());
-    link.heap.pop_back();
-    prev_seq = d.seq;
-    first = false;
-    // May reentrantly send on this very link; the loop re-reads the heap
-    // top each iteration, so same-instant arrivals with the next seq join
-    // the run (exactly as their own zero-delay event would fire next).
-    deliverNow(d);
-  }
-  schedulePump(linkKey, link);
-}
-
-void Network::schedulePump(std::uint64_t linkKey, LinkState& link) {
-  if (link.heap.empty()) return;
-  const PendingDelivery& top = link.heap.front();
-  if (link.pump.pending() && link.pump_when == top.arrival &&
-      link.pump_seq == top.seq) {
-    return;
-  }
-  link.pump.cancel();
-  link.pump_when = top.arrival;
-  link.pump_seq = top.seq;
-  link.pump = sim_.scheduleReserved(top.arrival, top.seq,
-                                    [this, linkKey] { pumpLink(linkKey); });
-}
-
-void Network::deliverNow(PendingDelivery& d) {
-  if (machine_up_ && !machine_up_(d.dst)) return;
-  traceDelivered(d.src, d.dst, d.kind, d.bytes, d.elements);
-  d.deliver();
+  sim_.scheduleAt(arrival, std::move(deliverOnce));
 }
 
 void Network::traceDelivered(MachineId src, MachineId dst, MsgKind kind,

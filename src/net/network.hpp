@@ -11,7 +11,6 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "common/types.hpp"
 #include "sim/simulator.hpp"
@@ -75,11 +74,6 @@ class Network {
     SimDuration latency = 100;            ///< One-way propagation, microseconds.
     double bytesPerMicro = 125.0;         ///< 1 Gbps = 125 bytes / microsecond.
     SimDuration localDelay = 10;          ///< Same-machine delivery delay.
-    /// Coalesce back-to-back deliveries on one link behind a single scheduled
-    /// pump event (see pumpLink below). Event order, fault semantics and
-    /// trace contents are unchanged either way; false keeps the legacy
-    /// one-event-per-message path for A/B measurement.
-    bool batchedDelivery = true;
   };
 
   /// Per-kind traffic counters.
@@ -182,45 +176,6 @@ class Network {
   bool hasFault() const { return static_cast<bool>(fault_); }
 
  private:
-  /// One in-flight cross-machine delivery, parked in its link's heap until
-  /// the link pump reaches it. `seq` is the simulator tie-break rank reserved
-  /// at send time -- exactly the rank the delivery would carry if it were its
-  /// own scheduled event, which is what makes batching order-exact.
-  struct PendingDelivery {
-    SimTime arrival;
-    std::uint64_t seq;
-    MachineId src;
-    MachineId dst;
-    MsgKind kind;
-    std::uint64_t bytes;
-    std::uint64_t elements;
-    std::function<void()> deliver;
-  };
-  struct ArrivesLater {
-    bool operator()(const PendingDelivery& a, const PendingDelivery& b) const {
-      if (a.arrival != b.arrival) return a.arrival > b.arrival;
-      return a.seq > b.seq;
-    }
-  };
-  /// Per ordered (src, dst) link: bandwidth serialization state plus the
-  /// delivery heap and its pump event. The heap vector's capacity is the
-  /// per-link delivery pool -- reused across messages after warmup, so the
-  /// steady-state data path stops allocating per message.
-  struct LinkState {
-    SimTime free_at = 0;
-    std::vector<PendingDelivery> heap;  ///< Min-heap under ArrivesLater.
-    EventHandle pump;
-    SimTime pump_when = 0;
-    std::uint64_t pump_seq = 0;
-  };
-
-  /// Run the link's deliveries that are due now; reschedule the pump for the
-  /// rest. Defined in network.cpp with the equivalence argument.
-  void pumpLink(std::uint64_t linkKey);
-  /// (Re)schedule the link's pump at its heap-min (arrival, seq), if needed.
-  void schedulePump(std::uint64_t linkKey, LinkState& link);
-  /// The per-message delivery: liveness check, trace, user callback.
-  void deliverNow(PendingDelivery& d);
   /// Record a kMessageDelivered trace event (no-op when tracing is off).
   void traceDelivered(MachineId src, MachineId dst, MsgKind kind,
                       std::uint64_t bytes, std::uint64_t elements);
@@ -232,10 +187,11 @@ class Network {
   TraceRecorder* trace_ = nullptr;
   std::unique_ptr<ReliableDelivery> reliable_;
   Counters counters_;
-  /// Keyed by (src << 32) | dst. Never iterated (determinism: unordered_map
-  /// order is not part of any observable behavior); node-based, so LinkState
-  /// references stay valid across inserts from reentrant sends.
-  std::unordered_map<std::uint64_t, LinkState> links_;
+  /// When each ordered (src, dst) link's NIC is next free (bandwidth
+  /// serialization), keyed by (src << 32) | dst. Never iterated
+  /// (determinism: unordered_map order is not part of any observable
+  /// behavior).
+  std::unordered_map<std::uint64_t, SimTime> link_free_at_;
 };
 
 }  // namespace streamha

@@ -20,16 +20,10 @@ EventHandle Simulator::schedule(SimDuration delay, EventFn fn) {
 }
 
 EventHandle Simulator::scheduleAt(SimTime when, EventFn fn) {
-  return scheduleReserved(when, next_seq_++, std::move(fn));
-}
-
-EventHandle Simulator::scheduleReserved(SimTime when, std::uint64_t seq,
-                                        EventFn fn) {
   assert(when >= now_);
-  assert(seq < next_seq_);
   std::uint32_t slot = pool_->acquire(std::move(fn));
   std::uint64_t generation = pool_->slots[slot].generation;
-  queue_.push(Entry{when, seq, slot, generation});
+  queue_.push(Entry{when, next_seq_++, slot, generation});
   return EventHandle(pool_, slot, generation);
 }
 

@@ -107,17 +107,6 @@ class Simulator {
   /// Schedule `fn` at absolute time `when` (>= now()).
   EventHandle scheduleAt(SimTime when, EventFn fn);
 
-  /// Draw the next insertion-order sequence number without scheduling
-  /// anything. Lets a caller that coalesces many logical events behind one
-  /// scheduled event (see Network's batched link delivery) stamp each logical
-  /// event with the tie-break rank it would have had as its own event.
-  std::uint64_t reserveSeq() { return next_seq_++; }
-
-  /// Schedule `fn` at `when` with an explicit tie-break rank previously drawn
-  /// from reserveSeq(). Events with equal timestamps fire in ascending seq
-  /// order, exactly as if `fn` had been scheduled when `seq` was reserved.
-  EventHandle scheduleReserved(SimTime when, std::uint64_t seq, EventFn fn);
-
   /// Run events until the queue is empty or the next live event would exceed
   /// `until`. Time is advanced to `until` on return.
   void runUntil(SimTime until);

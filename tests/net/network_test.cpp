@@ -247,127 +247,73 @@ TEST_F(NetFixture, FaultHookDuplicatesAndDelays) {
   EXPECT_EQ(net.counters().messagesOf(MsgKind::kData), 1u);
 }
 
-// -- Batched same-link delivery ----------------------------------------------
+// -- One scheduled event per delivery -----------------------------------------
 //
-// Network::Params::batchedDelivery (the default) coalesces back-to-back
-// same-instant deliveries on one link into a single scheduled event. The
-// tests below assert the two contracts that make the toggle safe: the
-// coalescing actually happens (fewer simulator events), and it is observably
-// identical to the per-message path -- same delivery times and order, same
-// per-element fault/crash evaluation, same counters.
+// Every non-dropped message, and each duplicate copy of it, is its own
+// simulator event at its arrival time. The expected logs below were recorded
+// from the network before its delivery path was reduced to this one form;
+// the tests pin delivery times and order, per-message fault and crash
+// evaluation, and the event count.
 
-Network::Params fastLink(bool batched) {
-  Network::Params p;
-  p.latency = 100;
-  p.bytesPerMicro = 125.0;
-  p.batchedDelivery = batched;
-  return p;
-}
-
-/// An independent simulator + network pair, so the batched and per-message
-/// configurations can replay one script side by side.
-struct Rig {
-  explicit Rig(bool batched)
-      : net(sim, fastLink(batched),
-            [this](MachineId id) { return id == 0 ? up0 : up1; }) {}
-  Simulator sim;
-  bool up0 = true;
-  bool up1 = true;
-  Network net;
-};
-
-TEST(BatchedDelivery, SameInstantRunFiresAsOneScheduledEvent) {
-  Rig batched(true);
-  Rig legacy(false);
-  for (Rig* r : {&batched, &legacy}) {
-    // Zero-byte control messages: no transmit time, so all four arrive at
-    // the same instant with consecutive delivery ranks.
-    for (int i = 0; i < 4; ++i) {
-      r->net.send(0, 1, MsgKind::kControl, 0, 0, [] {});
-    }
-    r->sim.runAll();
-  }
-  EXPECT_EQ(batched.sim.firedEvents(), 1u);
-  EXPECT_EQ(legacy.sim.firedEvents(), 4u);
-}
-
-TEST(BatchedDelivery, MatchesPerMessagePathUnderDropDuplicateAndDelayFaults) {
-  // A deterministic per-call fault mix: both rigs see the same decision
-  // sequence because the hook fires once per send() in either mode.
-  auto makeFaultHook = [] {
-    auto counter = std::make_shared<int>(0);
-    return [counter](MachineId, MachineId, MsgKind, std::size_t) {
-      const int i = (*counter)++;
-      Network::FaultDecision d;
-      if (i % 5 == 2) d.drop = true;
-      if (i % 7 == 3) d.duplicates = 2;
-      if (i % 3 == 1) d.extraDelay = 40;
-      return d;
-    };
-  };
-  auto script = [&](Rig& r, std::vector<std::pair<int, SimTime>>& log) {
-    r.net.setFault(makeFaultHook());
-    int id = 0;
-    for (int i = 0; i < 12; ++i) {
-      const std::uint64_t bytes = static_cast<std::uint64_t>(i % 4) * 625;
-      const int fwd = id++;
-      r.net.send(0, 1, MsgKind::kData, bytes, 1,
-                 [&log, &r, fwd] { log.emplace_back(fwd, r.sim.now()); });
-      const int back = id++;
-      r.net.send(1, 0, MsgKind::kAck, 64, 0,
-                 [&log, &r, back] { log.emplace_back(back, r.sim.now()); });
-    }
-    r.sim.runAll();
-  };
-  Rig batched(true);
-  Rig legacy(false);
-  std::vector<std::pair<int, SimTime>> a;
-  std::vector<std::pair<int, SimTime>> b;
-  script(batched, a);
-  script(legacy, b);
-  ASSERT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(batched.net.counters().totalMessages(),
-            legacy.net.counters().totalMessages());
-}
-
-TEST(BatchedDelivery, CrashDuringCoalescedRunSuppressesRemainingDeliveries) {
-  Rig rig(true);
-  int delivered = 0;
-  // Both messages land in one coalesced run; the first delivery takes the
-  // destination down, so the second must be re-checked and suppressed.
-  rig.net.send(0, 1, MsgKind::kData, 0, 1, [&] {
-    ++delivered;
-    rig.up1 = false;
+TEST_F(NetFixture, DeliveryLogUnderDropDuplicateAndDelayFaultsIsPinned) {
+  Network net = makeNet();
+  // A deterministic per-call fault mix: the hook fires once per send().
+  int call = 0;
+  net.setFault([&call](MachineId, MachineId, MsgKind, std::size_t) {
+    const int i = call++;
+    Network::FaultDecision d;
+    if (i % 5 == 2) d.drop = true;
+    if (i % 7 == 3) d.duplicates = 2;
+    if (i % 3 == 1) d.extraDelay = 40;
+    return d;
   });
-  rig.net.send(0, 1, MsgKind::kData, 0, 1, [&] { ++delivered; });
-  rig.sim.runAll();
+  std::vector<std::pair<int, SimTime>> log;
+  int id = 0;
+  for (int i = 0; i < 12; ++i) {
+    const std::uint64_t bytes = static_cast<std::uint64_t>(i % 4) * 625;
+    const int fwd = id++;
+    net.send(0, 1, MsgKind::kData, bytes, 1,
+             [&log, this, fwd] { log.emplace_back(fwd, sim.now()); });
+    const int back = id++;
+    net.send(1, 0, MsgKind::kAck, 64, 0,
+             [&log, this, back] { log.emplace_back(back, sim.now()); });
+  }
+  sim.runAll();
+  const std::vector<std::pair<int, SimTime>> expected = {
+      {0, 100},  {3, 102},  {3, 102},  {3, 102},  {5, 103},  {9, 105},
+      {11, 106}, {15, 108}, {21, 111}, {23, 112}, {6, 130},  {8, 130},
+      {1, 141},  {13, 147}, {19, 150}, {4, 155},  {14, 160}, {18, 165},
+      {10, 175}, {10, 175}, {10, 175}, {20, 175}, {16, 200}};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(net.counters().totalMessages(), 24u);
+  EXPECT_EQ(sim.firedEvents(), expected.size());  // One event per delivery.
+}
+
+TEST_F(NetFixture, CrashDuringSameInstantDeliveriesSuppressesTheRest) {
+  Network net = makeNet();
+  int delivered = 0;
+  // Both messages arrive at the same instant; the first delivery takes the
+  // destination down, so the second is checked again and suppressed.
+  net.send(0, 1, MsgKind::kData, 0, 1, [&] {
+    ++delivered;
+    machine1_up = false;
+  });
+  net.send(0, 1, MsgKind::kData, 0, 1, [&] { ++delivered; });
+  sim.runAll();
   EXPECT_EQ(delivered, 1);
 }
 
-TEST(BatchedDelivery, ReentrantSendFromDeliveryCallbackMatchesLegacy) {
-  auto script = [](Rig& r, std::vector<SimTime>& log) {
-    r.net.send(0, 1, MsgKind::kData, 0, 1, [&log, &r] {
-      log.push_back(r.sim.now());
-      // Send on the same link from inside the delivery run.
-      r.net.send(0, 1, MsgKind::kData, 0, 1,
-                 [&log, &r] { log.push_back(r.sim.now()); });
-    });
-    r.net.send(0, 1, MsgKind::kData, 0, 1,
-               [&log, &r] { log.push_back(r.sim.now()); });
-    r.sim.runAll();
-  };
-  Rig batched(true);
-  Rig legacy(false);
-  std::vector<SimTime> a;
-  std::vector<SimTime> b;
-  script(batched, a);
-  script(legacy, b);
-  EXPECT_EQ(a, b);
-  ASSERT_EQ(a.size(), 3u);
-  EXPECT_EQ(a[0], 100);
-  EXPECT_EQ(a[1], 100);  // The same-instant neighbor stays in the run.
-  EXPECT_EQ(a[2], 200);  // The reentrant message takes a fresh latency hop.
+TEST_F(NetFixture, ReentrantSendFromDeliveryCallbackTakesAFreshHop) {
+  Network net = makeNet();
+  std::vector<SimTime> log;
+  net.send(0, 1, MsgKind::kData, 0, 1, [&] {
+    log.push_back(sim.now());
+    // Send on the same link from inside a delivery.
+    net.send(0, 1, MsgKind::kData, 0, 1, [&] { log.push_back(sim.now()); });
+  });
+  net.send(0, 1, MsgKind::kData, 0, 1, [&] { log.push_back(sim.now()); });
+  sim.runAll();
+  EXPECT_EQ(log, (std::vector<SimTime>{100, 100, 200}));
 }
 
 TEST_F(NetFixture, MsgKindNames) {

@@ -189,17 +189,6 @@ TEST(Simulator, LargeClosureFiresViaHeapFallback) {
   EXPECT_EQ(sum, 53u);
 }
 
-TEST(Simulator, ReservedSeqKeepsInsertionRankAtEqualTime) {
-  Simulator sim;
-  std::vector<int> order;
-  std::uint64_t early = sim.reserveSeq();
-  sim.scheduleAt(10, [&] { order.push_back(2); });
-  // Reserved before the event above, so it must fire first at the same time.
-  sim.scheduleReserved(10, early, [&] { order.push_back(1); });
-  sim.runAll();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
 TEST(Simulator, RunUntilDoesNotFirePastHorizonAcrossCancelled) {
   Simulator sim;
   bool far_fired = false;
