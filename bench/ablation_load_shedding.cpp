@@ -42,7 +42,8 @@ int main() {
     for (std::uint64_t seed : seeds) {
       ScenarioParams p;
       p.mode = row.mode;
-      p.shedThreshold = row.shedThreshold;
+      p.flow.enabled = row.shedThreshold != 0;
+      p.flow.shedThreshold = row.shedThreshold;
       p.shapeRatePerSec = row.shapeRate;
       p.failureFraction = 0.3;
       p.failureDuration = kSecond;

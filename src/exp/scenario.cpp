@@ -277,19 +277,9 @@ void Scenario::build() {
     }
   }
 
-  // Applied after coordinators so pre-deployed standby copies shed too.
-  // (Copies a coordinator instantiates mid-run start unshedded.)
-  if (params_.shedThreshold != 0) {
-    for (const auto& inst : runtime_->allInstances()) {
-      for (std::size_t i = 0; i < inst->peCount(); ++i) {
-        inst->pe(i).input().setShedThreshold(params_.shedThreshold);
-      }
-    }
-  }
-
   // Flow control adopts every instance (and, via the runtime's instance
   // listener, every copy instantiated later) after the coordinators exist,
-  // mirroring the shed-threshold ordering above.
+  // so pre-deployed standby copies are covered too.
   if (params_.flow.enabled) {
     flow_ = std::make_unique<flow::FlowControl>(*runtime_, params_.flow);
     flow_->adoptAll();

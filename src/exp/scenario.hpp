@@ -56,10 +56,6 @@ struct ScenarioParams {
   // -- Workload ---------------------------------------------------------------
   double dataRatePerSec = 1000.0;
   Source::Pattern sourcePattern = Source::Pattern::kPoisson;
-  /// When non-zero, every PE input queue sheds arrivals beyond this depth
-  /// (the load-shedding alternative the paper's introduction discusses:
-  /// bounded delay, at the price of data loss).
-  std::size_t shedThreshold = 0;
   /// When > 0, the source is traffic-shaped to this rate (the paper's other
   /// Section I alternative: smooths bursts, adds source-side delay, and does
   /// nothing about failures).
@@ -232,7 +228,7 @@ struct ScenarioResult {
   /// Out-of-order arrivals dropped pending retransmission (only non-zero in
   /// fault-injection runs; the NACK/retransmit path backfills them).
   std::uint64_t outOfOrderDropped = 0;
-  /// Elements dropped by load shedding (0 unless shedThreshold is set).
+  /// Elements dropped by load shedding (0 unless flow.shedThreshold is set).
   std::uint64_t elementsShed = 0;
   /// Flow-control / ARQ-window telemetry (all zero with flow control off).
   FlowTelemetry flow;

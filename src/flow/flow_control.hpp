@@ -61,9 +61,11 @@ struct FlowParams {
   /// Backlog that unblocks it again (0 = outputPauseBacklog / 2).
   std::size_t outputResumeBacklog = 0;
   std::size_t creditBytes = 32;  ///< Pause/resume credit wire size.
-  /// Shed threshold applied to every adopted input queue (0 = no shedding).
-  /// Unlike ScenarioParams::shedThreshold this also covers copies
-  /// instantiated mid-run, via the runtime's instance listener.
+  /// Shed threshold applied to every adopted input queue (0 = no shedding):
+  /// arrivals beyond this depth are dropped -- the load-shedding alternative
+  /// the paper's introduction discusses (bounded delay, at the price of data
+  /// loss). Covers copies instantiated mid-run too, via the runtime's
+  /// instance listener.
   std::size_t shedThreshold = 0;
   bool accountShedding = true;  ///< Record shed intervals into the trace.
 };
