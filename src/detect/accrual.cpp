@@ -82,6 +82,7 @@ void AccrualDetector::tick() {
     failed_ = true;
     timely_streak_ = 0;
     ++failures_declared_;
+    ++suspicion_crossings_;
     const auto milliPhi = static_cast<std::uint64_t>(phi * 1000.0);
     recordEvent(TraceEventType::kSuspicionCrossed, milliPhi, 0);
     recordEvent(TraceEventType::kFailureConfirmed, milliPhi);
@@ -146,6 +147,7 @@ void AccrualDetector::onReply(std::uint64_t seq) {
       phiAt(now) <= params_.recoverPhi) {
     failed_ = false;
     ++recoveries_declared_;
+    ++suspicion_crossings_;
     const auto milliPhi = static_cast<std::uint64_t>(phiAt(now) * 1000.0);
     recordEvent(TraceEventType::kSuspicionCrossed, milliPhi, 1);
     recordEvent(TraceEventType::kFailureCleared, milliPhi,

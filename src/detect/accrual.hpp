@@ -70,6 +70,9 @@ class AccrualDetector : public FailureDetector {
   std::uint64_t repliesReceived() const { return replies_received_; }
   std::uint64_t failuresDeclared() const { return failures_declared_; }
   std::uint64_t recoveriesDeclared() const { return recoveries_declared_; }
+  std::uint64_t suspicionCrossings() const override {
+    return suspicion_crossings_;
+  }
 
   const Params& params() const { return params_; }
 
@@ -102,6 +105,7 @@ class AccrualDetector : public FailureDetector {
   std::uint64_t replies_received_ = 0;
   std::uint64_t failures_declared_ = 0;
   std::uint64_t recoveries_declared_ = 0;
+  std::uint64_t suspicion_crossings_ = 0;  ///< One per kSuspicionCrossed.
 };
 
 }  // namespace streamha

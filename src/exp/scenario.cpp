@@ -583,6 +583,7 @@ ScenarioResult Scenario::collect() {
     result.gray.flapsDetected += c->flapsDetected();
     result.gray.quarantines += c->quarantines();
     result.gray.readmissions += c->readmissions();
+    result.gray.suspicionCrossings += c->suspicionCrossings();
     result.state += c->stateTelemetry();
     if (auto* hybrid = dynamic_cast<HybridCoordinator*>(c.get())) {
       result.elementsToStalledPrimary += hybrid->elementsToStalledPrimary();
@@ -601,13 +602,6 @@ ScenarioResult Scenario::collect() {
   if (injector_ != nullptr) {
     result.gray.slowdownsApplied = injector_->stats().slowdownsApplied;
     result.gray.slowdownDelays = injector_->stats().slowdownDelays;
-  }
-  if (recorder_ != nullptr) {
-    for (const TraceEvent& ev : recorder_->events()) {
-      if (ev.type == TraceEventType::kSuspicionCrossed) {
-        ++result.gray.suspicionCrossings;
-      }
-    }
   }
 
   for (const auto& inst : runtime_->allInstances()) {

@@ -4,6 +4,7 @@
 
 #include "exp/detection_study.hpp"
 #include "exp/measurement_study.hpp"
+#include "exp/sweep.hpp"
 
 namespace streamha {
 namespace {
@@ -124,6 +125,41 @@ TEST(Scenario, LoadSheddingBoundsDelayAtTheCostOfLoss) {
   EXPECT_LT(rb.avgDelayMs, ra.avgDelayMs * 0.6);
   // Shedding loses data: the sink sees fewer elements.
   EXPECT_LT(rb.sinkReceived, ra.sinkReceived);
+}
+
+TEST(Scenario, SuspicionCrossingsDoNotDependOnTracing) {
+  // Accrual detection on a gray primary: load spikes, CPU dilation and
+  // heartbeat jitter make the suspicion level cross its thresholds
+  // repeatedly. Recording a
+  // trace never changes behaviour, so the traced and untraced results --
+  // the crossing count included -- must be identical.
+  auto run = [](bool traced) {
+    ScenarioParams p;
+    p.mode = HaMode::kHybrid;
+    p.provisionSpares = true;
+    p.duration = 15 * kSecond;
+    p.seed = 4;
+    p.failureFraction = 0.3;
+    p.accrual.enabled = true;
+    p.trace.enabled = traced;
+    SlowdownSpec dilation;
+    dilation.kind = SlowdownKind::kCpuDilation;
+    dilation.machine = 2;
+    dilation.severity = 0.5;
+    dilation.beginAt = 4 * kSecond;
+    dilation.endAt = 12 * kSecond;
+    SlowdownSpec jitter = dilation;
+    jitter.kind = SlowdownKind::kHeartbeatJitter;
+    jitter.delayProb = 0.5;
+    jitter.maxExtraDelay = 400 * kMillisecond;
+    p.faults.slowdowns = {dilation, jitter};
+    Scenario s(p);
+    return s.runAll();
+  };
+  const ScenarioResult traced = run(true);
+  const ScenarioResult untraced = run(false);
+  EXPECT_GT(untraced.gray.suspicionCrossings, 0u);
+  EXPECT_EQ(fingerprintResult(traced), fingerprintResult(untraced));
 }
 
 TEST(MeasurementStudy, EnsembleMatchesPaperCharacteristics) {
