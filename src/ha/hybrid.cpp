@@ -108,12 +108,19 @@ void HybridCoordinator::beginSwitchover(SimTime detectedAt) {
     if (switched_ && !promoting_) promote();
   });
 
-  const std::size_t idx = current_timeline_;
+  resumeSecondary(current_timeline_);
+}
+
+void HybridCoordinator::resumeSecondary(std::size_t idx) {
   resume_in_flight_ = true;
+  // A re-issued resume supersedes any earlier one still queued.
+  const std::uint64_t token = ++resume_token_;
   if (secondary_ != nullptr) {
     // Resume the pre-deployed suspended copy: a flag flip plus a small
     // amount of control work on the standby machine.
-    secondary_->machine().submitData(rt_.costs().resumeWorkUs, [this, idx] {
+    secondary_->machine().submitData(rt_.costs().resumeWorkUs, [this, idx,
+                                                                token] {
+      if (token != resume_token_) return;
       resume_in_flight_ = false;
       if (!switched_ || promoting_) return;  // Rolled back before resume.
       secondary_->unsuspendAll();
@@ -139,7 +146,8 @@ void HybridCoordinator::beginSwitchover(SimTime detectedAt) {
   } else {
     // Ablation: no pre-deployment -- pay the full deployment cost now.
     Machine& standby = cluster().machine(params_.standbyMachine);
-    standby.submitData(rt_.costs().deployWorkUs, [this, idx] {
+    standby.submitData(rt_.costs().deployWorkUs, [this, idx, token] {
+      if (token != resume_token_) return;
       resume_in_flight_ = false;
       if (!switched_ || promoting_) return;
       secondary_ = &rt_.instantiate(subjob_, params_.standbyMachine,
@@ -358,7 +366,20 @@ void HybridCoordinator::onRecovery(SimTime recoveredAt) {
 }
 
 void HybridCoordinator::promote() {
-  if (!switched_ || secondary_ == nullptr) return;
+  if (!switched_) return;
+  if (resume_in_flight_) {
+    // The secondary never resumed: a crash of the standby machine drops its
+    // queued resume task, leaving the copy suspended behind inactive wires,
+    // and promoting it would wedge the subjob. Re-issue the resume and give
+    // the switchover a fresh fail-stop period (the detector may also clear
+    // the primary meanwhile, which rolls back instead).
+    resumeSecondary(current_timeline_);
+    failstop_timer_ = sim().schedule(params_.failStopAfter, [this] {
+      if (switched_ && !promoting_) promote();
+    });
+    return;
+  }
+  if (secondary_ == nullptr) return;
   // Never promote a dead copy; if the standby died too, the only option is
   // to keep waiting for the primary (or an operator) to come back.
   if (!secondary_->alive()) return;

@@ -67,6 +67,9 @@ class HybridCoordinator : public HaCoordinator {
   void installDetector(MachineId monitor, Machine& target);
   void onFailure(SimTime detectedAt);
   void beginSwitchover(SimTime detectedAt);
+  /// Resume (or, without pre-deployment, deploy) the secondary on the
+  /// standby machine, then complete the switchover for timeline `idx`.
+  void resumeSecondary(std::size_t idx);
   void completeSwitchover(std::size_t timelineIdx);
   void onRecovery(SimTime recoveredAt);
   void promote();
@@ -122,6 +125,7 @@ class HybridCoordinator : public HaCoordinator {
   bool switched_ = false;
   bool promoting_ = false;
   bool resume_in_flight_ = false;
+  std::uint64_t resume_token_ = 0;  ///< Identifies the latest resume task.
   bool holdoff_pending_ = false;  ///< A hysteresis re-check is scheduled.
   EventHandle failstop_timer_;
   SubjobQuiescer quiescer_;
