@@ -70,9 +70,8 @@ class AccrualDetector : public FailureDetector {
   std::uint64_t repliesReceived() const { return replies_received_; }
   std::uint64_t failuresDeclared() const { return failures_declared_; }
   std::uint64_t recoveriesDeclared() const { return recoveries_declared_; }
-  std::uint64_t suspicionCrossings() const override {
-    return suspicion_crossings_;
-  }
+  /// kSuspicionCrossed events, counted whether or not the run is traced.
+  std::uint64_t suspicionCrossings() const { return suspicion_crossings_; }
 
   const Params& params() const { return params_; }
 
@@ -105,7 +104,7 @@ class AccrualDetector : public FailureDetector {
   std::uint64_t replies_received_ = 0;
   std::uint64_t failures_declared_ = 0;
   std::uint64_t recoveries_declared_ = 0;
-  std::uint64_t suspicion_crossings_ = 0;  ///< One per kSuspicionCrossed.
+  std::uint64_t suspicion_crossings_ = 0;
 };
 
 }  // namespace streamha

@@ -7,7 +7,6 @@
 // PredictiveDetector implements that idea.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 
@@ -40,11 +39,6 @@ class FailureDetector {
   virtual bool failed() const = 0;
 
   virtual MachineId targetId() const = 0;
-
-  /// Times the suspicion level crossed a declaration threshold, either way
-  /// (only the accrual detector has a suspicion level; 0 for the others).
-  /// Counted whether or not the run is traced.
-  virtual std::uint64_t suspicionCrossings() const { return 0; }
 };
 
 /// Constructs a detector watching `target` from `monitor`. HA coordinators

@@ -318,11 +318,13 @@ void Scenario::createCoordinators() {
       ad.recoverPhi = params_.accrual.recoverPhi;
       ad.recoverStreak = params_.accrual.recoverStreak;
       ad.historySize = params_.accrual.historySize;
-      ha.detectorFactory = [ad](Simulator& sim, Network& net, Machine& monitor,
-                                Machine& target,
-                                FailureDetector::Callbacks callbacks) {
-        return std::make_unique<AccrualDetector>(sim, net, monitor, target, ad,
-                                                 std::move(callbacks));
+      ha.detectorFactory = [this, ad](Simulator& sim, Network& net,
+                                      Machine& monitor, Machine& target,
+                                      FailureDetector::Callbacks callbacks) {
+        auto detector = std::make_unique<AccrualDetector>(
+            sim, net, monitor, target, ad, std::move(callbacks));
+        accrual_detectors_.push_back(detector.get());
+        return detector;
       };
     }
     ha.damping = params_.damping;
@@ -583,7 +585,6 @@ ScenarioResult Scenario::collect() {
     result.gray.flapsDetected += c->flapsDetected();
     result.gray.quarantines += c->quarantines();
     result.gray.readmissions += c->readmissions();
-    result.gray.suspicionCrossings += c->suspicionCrossings();
     result.state += c->stateTelemetry();
     if (auto* hybrid = dynamic_cast<HybridCoordinator*>(c.get())) {
       result.elementsToStalledPrimary += hybrid->elementsToStalledPrimary();
@@ -598,6 +599,9 @@ ScenarioResult Scenario::collect() {
   if (membership_ != nullptr) {
     membership_->telemetry().rosterSize = membership_->roster().size();
     result.membership += membership_->telemetry();
+  }
+  for (const AccrualDetector* detector : accrual_detectors_) {
+    result.gray.suspicionCrossings += detector->suspicionCrossings();
   }
   if (injector_ != nullptr) {
     result.gray.slowdownsApplied = injector_->stats().slowdownsApplied;

@@ -38,6 +38,8 @@
 
 namespace streamha {
 
+class AccrualDetector;
+
 struct ScenarioParams {
   // -- Topology ---------------------------------------------------------------
   int numPes = 8;
@@ -386,6 +388,9 @@ class Scenario {
   std::vector<MachineId> standby_of_;  ///< Indexed by subjob id; kNoMachine if none.
   std::vector<MachineId> spare_of_;
   std::vector<MachineId> latent_machines_;
+  /// Every accrual detector built, live or retired; owned by the coordinators,
+  /// which retire detectors but never destroy them mid-run.
+  std::vector<const AccrualDetector*> accrual_detectors_;
   MachineId sink_machine_ = kNoMachine;
   std::size_t machine_count_ = 0;
 

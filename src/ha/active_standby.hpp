@@ -27,11 +27,6 @@ class ActiveStandbyCoordinator : public HaCoordinator {
 
   FailureDetector* secondaryDetector() { return detector2_.get(); }
 
-  std::uint64_t suspicionCrossings() const override {
-    return HaCoordinator::suspicionCrossings() +
-           (detector2_ != nullptr ? detector2_->suspicionCrossings() : 0);
-  }
-
  private:
   void installDetectors();
   void onCopyFailure(Replica which, SimTime detectedAt);

@@ -191,13 +191,6 @@ void HaCoordinator::retire(std::unique_ptr<StateStore> store) {
   retired_stores_.push_back(std::move(store));
 }
 
-std::uint64_t HaCoordinator::suspicionCrossings() const {
-  std::uint64_t total = 0;
-  if (detector_ != nullptr) total += detector_->suspicionCrossings();
-  for (const auto& d : retired_detectors_) total += d->suspicionCrossings();
-  return total;
-}
-
 StateTelemetry HaCoordinator::stateTelemetry() const {
   StateTelemetry total;
   if (store_ != nullptr) total += store_->telemetry();

@@ -150,11 +150,6 @@ class HaCoordinator {
   /// backend is disabled.
   StateTelemetry stateTelemetry() const;
 
-  /// Suspicion-threshold crossings summed over the live detector(s) and
-  /// every detector retired by re-installs (FailureDetector::
-  /// suspicionCrossings; independent of tracing).
-  virtual std::uint64_t suspicionCrossings() const;
-
   std::uint64_t switchovers() const { return switchovers_; }
   std::uint64_t rollbacks() const { return rollbacks_; }
   std::uint64_t promotions() const { return promotions_; }

@@ -113,14 +113,11 @@ void HybridCoordinator::beginSwitchover(SimTime detectedAt) {
 
 void HybridCoordinator::resumeSecondary(std::size_t idx) {
   resume_in_flight_ = true;
-  // A re-issued resume supersedes any earlier one still queued.
-  const std::uint64_t token = ++resume_token_;
   if (secondary_ != nullptr) {
     // Resume the pre-deployed suspended copy: a flag flip plus a small
     // amount of control work on the standby machine.
-    secondary_->machine().submitData(rt_.costs().resumeWorkUs, [this, idx,
-                                                                token] {
-      if (token != resume_token_) return;
+    secondary_->machine().submitData(rt_.costs().resumeWorkUs, [this, idx] {
+      if (!resume_in_flight_) return;  // A re-issued resume ran first.
       resume_in_flight_ = false;
       if (!switched_ || promoting_) return;  // Rolled back before resume.
       secondary_->unsuspendAll();
@@ -146,8 +143,8 @@ void HybridCoordinator::resumeSecondary(std::size_t idx) {
   } else {
     // Ablation: no pre-deployment -- pay the full deployment cost now.
     Machine& standby = cluster().machine(params_.standbyMachine);
-    standby.submitData(rt_.costs().deployWorkUs, [this, idx, token] {
-      if (token != resume_token_) return;
+    standby.submitData(rt_.costs().deployWorkUs, [this, idx] {
+      if (!resume_in_flight_) return;  // A re-issued deploy ran first.
       resume_in_flight_ = false;
       if (!switched_ || promoting_) return;
       secondary_ = &rt_.instantiate(subjob_, params_.standbyMachine,

@@ -125,7 +125,6 @@ class HybridCoordinator : public HaCoordinator {
   bool switched_ = false;
   bool promoting_ = false;
   bool resume_in_flight_ = false;
-  std::uint64_t resume_token_ = 0;  ///< Identifies the latest resume task.
   bool holdoff_pending_ = false;  ///< A hysteresis re-check is scheduled.
   EventHandle failstop_timer_;
   SubjobQuiescer quiescer_;

@@ -125,27 +125,23 @@ void Network::send(MachineId src, MachineId dst, MsgKind kind,
   auto deliverOnce = [this, src, dst, kind, bytes, elements,
                       deliver = std::move(deliver)] {
     if (machine_up_ && !machine_up_(dst)) return;
-    traceDelivered(src, dst, kind, bytes, elements);
+    if (trace_ != nullptr) {
+      TraceEvent ev;
+      ev.type = TraceEventType::kMessageDelivered;
+      ev.at = sim_.now();
+      ev.machine = dst;
+      ev.peer = src;
+      ev.msgKind = kind;
+      ev.value = bytes;
+      ev.aux = elements;
+      trace_->record(ev);
+    }
     deliver();
   };
   for (std::uint32_t copy = 0; copy < fault.duplicates; ++copy) {
     sim_.scheduleAt(arrival, deliverOnce);
   }
   sim_.scheduleAt(arrival, std::move(deliverOnce));
-}
-
-void Network::traceDelivered(MachineId src, MachineId dst, MsgKind kind,
-                             std::uint64_t bytes, std::uint64_t elements) {
-  if (trace_ == nullptr) return;
-  TraceEvent ev;
-  ev.type = TraceEventType::kMessageDelivered;
-  ev.at = sim_.now();
-  ev.machine = dst;
-  ev.peer = src;
-  ev.msgKind = kind;
-  ev.value = bytes;
-  ev.aux = elements;
-  trace_->record(ev);
 }
 
 }  // namespace streamha

@@ -176,10 +176,6 @@ class Network {
   bool hasFault() const { return static_cast<bool>(fault_); }
 
  private:
-  /// Record a kMessageDelivered trace event (no-op when tracing is off).
-  void traceDelivered(MachineId src, MachineId dst, MsgKind kind,
-                      std::uint64_t bytes, std::uint64_t elements);
-
   Simulator& sim_;
   Params params_;
   std::function<bool(MachineId)> machine_up_;
