@@ -130,9 +130,9 @@ TEST(Scenario, LoadSheddingBoundsDelayAtTheCostOfLoss) {
 TEST(Scenario, SuspicionCrossingsDoNotDependOnTracing) {
   // Accrual detection on a gray primary: load spikes, CPU dilation and
   // heartbeat jitter make the suspicion level cross its thresholds
-  // repeatedly. Recording a
-  // trace never changes behaviour, so the traced and untraced results --
-  // the crossing count included -- must be identical.
+  // repeatedly. Recording a trace never changes behaviour, so the traced
+  // and untraced results -- the crossing count included -- must be
+  // identical.
   auto run = [](bool traced) {
     ScenarioParams p;
     p.mode = HaMode::kHybrid;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -250,10 +249,10 @@ TEST_F(NetFixture, FaultHookDuplicatesAndDelays) {
 // -- One scheduled event per delivery -----------------------------------------
 //
 // Every non-dropped message, and each duplicate copy of it, is its own
-// simulator event at its arrival time. The expected logs below were recorded
-// from the network before its delivery path was reduced to this one form;
-// the tests pin delivery times and order, per-message fault and crash
-// evaluation, and the event count.
+// simulator event at its arrival time. The tests pin delivery times and
+// order, per-message fault and crash evaluation, and the event count; the
+// expected logs were recorded from the earlier two-path network, on which
+// both paths agreed.
 
 TEST_F(NetFixture, DeliveryLogUnderDropDuplicateAndDelayFaultsIsPinned) {
   Network net = makeNet();
