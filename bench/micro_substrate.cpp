@@ -184,28 +184,6 @@ BENCHMARK(BM_RngExponential);
 // chaos tiers use. The JSON is written to $STREAMHA_BENCH_DIR (default: the
 // working directory).
 
-/// One mid-weight chaos seed: Hybrid, loss + duplicates + jitter, a healed
-/// partition and a restarting crash, compressed into a 10s run.
-ScenarioParams substrateSweepParams(std::uint64_t seed) {
-  ScenarioParams p;
-  p.mode = HaMode::kHybrid;
-  p.protectedSubjobs = {1, 2};
-  p.provisionSpares = true;
-  p.failStopAfter = 3 * kSecond;
-  p.duration = 10 * kSecond;
-  p.seed = seed;
-  harness::ChaosProfile profile;
-  profile.maxDuplicateProb = 0.05;
-  profile.maxDelayProb = 0.1;
-  profile.restartCrashed = true;
-  profile.faultsFrom = 3 * kSecond;
-  profile.faultsUntil = 8 * kSecond;
-  const harness::ChaosPlan plan = harness::makeChaosPlan(p, profile, seed);
-  p.faults = plan.schedule;
-  p.faultSeedSalt = seed;
-  return p;
-}
-
 double measureSeedsPerMinute(int nSeeds, int threads) {
   std::vector<std::uint64_t> seeds;
   for (int i = 0; i < nSeeds; ++i) seeds.push_back(1 + i);
@@ -219,7 +197,8 @@ double measureSeedsPerMinute(int nSeeds, int threads) {
       seeds,
       [&](std::uint64_t seed, std::size_t) {
         const harness::ChaosOutcome out =
-            harness::runChaosScenario(substrateSweepParams(seed), opts);
+            harness::runChaosScenario(harness::substrateProfileParams(seed),
+                                      opts);
         if (!out.oracle.ok) {
           std::fprintf(stderr, "substrate sweep: seed %llu failed its oracle\n",
                        static_cast<unsigned long long>(seed));

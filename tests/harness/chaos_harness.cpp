@@ -380,6 +380,54 @@ ChaosPlan makeChaosPlan(const ScenarioParams& params,
   return plan;
 }
 
+ScenarioParams substrateProfileParams(std::uint64_t seed) {
+  ScenarioParams p;
+  p.mode = HaMode::kHybrid;
+  p.protectedSubjobs = {1, 2};
+  p.provisionSpares = true;
+  p.failStopAfter = 3 * kSecond;
+  p.duration = 10 * kSecond;
+  p.seed = seed;
+  ChaosProfile profile;
+  profile.maxDuplicateProb = 0.05;
+  profile.maxDelayProb = 0.1;
+  profile.restartCrashed = true;
+  profile.faultsFrom = 3 * kSecond;
+  profile.faultsUntil = 8 * kSecond;
+  p.faults = makeChaosPlan(p, profile, seed).schedule;
+  p.faultSeedSalt = seed;
+  return p;
+}
+
+ScenarioParams tracedChaosParams(std::uint64_t seed) {
+  ScenarioParams p;
+  p.mode = HaMode::kHybrid;
+  p.protectedSubjobs = {1, 2};
+  p.provisionSpares = true;
+  p.failStopAfter = 3 * kSecond;
+  p.duration = 12 * kSecond;
+  p.seed = seed;
+  p.trace.enabled = true;
+  ChaosProfile profile;
+  profile.maxLossProb = 0.05;
+  profile.maxDuplicateProb = 0.05;
+  profile.maxDelayProb = 0.1;
+  profile.restartCrashed = true;
+  profile.faultsFrom = 3 * kSecond;
+  profile.faultsUntil = 9 * kSecond;
+  p.faults = makeChaosPlan(p, profile, seed).schedule;
+  p.faultSeedSalt = seed;
+  return p;
+}
+
+ChaosRunOpts tracedChaosOpts() {
+  ChaosRunOpts opts;
+  opts.quiescentDrain = false;
+  opts.maxDrain = 12 * kSecond;
+  opts.captureTrace = true;
+  return opts;
+}
+
 // ---------------------------------------------------------------------------
 // Drivers
 // ---------------------------------------------------------------------------

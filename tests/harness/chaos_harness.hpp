@@ -174,6 +174,18 @@ struct ChaosPlan {
 ChaosPlan makeChaosPlan(const ScenarioParams& params,
                         const ChaosProfile& profile, std::uint64_t seed);
 
+/// One seed of the substrate chaos profile: a 10 s Hybrid run with subjobs
+/// 1 and 2 protected and spares provisioned, under loss, duplicates, jitter,
+/// a healed partition and a restarting crash inside [3 s, 8 s). Shared by
+/// bench/micro_substrate, the behaviour corpus and the chaos tier.
+ScenarioParams substrateProfileParams(std::uint64_t seed);
+
+/// A mid-weight traced chaos run: Hybrid, loss + duplicates + jitter on every
+/// kind, one healed partition and one restarting crash, compressed into 12 s
+/// so serial re-runs stay cheap even under TSan. Run it with
+/// tracedChaosOpts(). Shared by SweepDeterminism and the behaviour corpus.
+ScenarioParams tracedChaosParams(std::uint64_t seed);
+
 // -- Drivers ------------------------------------------------------------------
 
 /// Everything a chaos driver needs to assert on.
@@ -213,6 +225,10 @@ struct ChaosRunOpts {
   /// bit-identical serial-vs-parallel comparisons).
   bool captureTrace = false;
 };
+
+/// Fixed 12 s drain with the trace captured (ChaosOutcome::trace); the
+/// options tracedChaosParams runs are checked with.
+ChaosRunOpts tracedChaosOpts();
 
 /// build + start (+failures) + run + drain + collect + oracle, one call.
 /// `params.faults` must already hold the schedule (see makeChaosPlan).

@@ -68,50 +68,6 @@ ScenarioParams canonical(HaMode mode) {
   return p;
 }
 
-/// SweepDeterminism's mid-weight chaos run, traced with per-message events.
-ScenarioParams tracedChaosParams(std::uint64_t seed) {
-  ScenarioParams p;
-  p.mode = HaMode::kHybrid;
-  p.protectedSubjobs = {1, 2};
-  p.provisionSpares = true;
-  p.failStopAfter = 3 * kSecond;
-  p.duration = 12 * kSecond;
-  p.seed = seed;
-  p.trace.enabled = true;
-  p.trace.messageEvents = true;
-  harness::ChaosProfile profile;
-  profile.maxLossProb = 0.05;
-  profile.maxDuplicateProb = 0.05;
-  profile.maxDelayProb = 0.1;
-  profile.restartCrashed = true;
-  profile.faultsFrom = 3 * kSecond;
-  profile.faultsUntil = 9 * kSecond;
-  p.faults = harness::makeChaosPlan(p, profile, seed).schedule;
-  p.faultSeedSalt = seed;
-  return p;
-}
-
-/// One seed of the substrate chaos profile (bench/micro_substrate.cpp):
-/// loss, duplicates, jitter, a healed partition and a restarting crash.
-ScenarioParams substrateChaosParams(std::uint64_t seed) {
-  ScenarioParams p;
-  p.mode = HaMode::kHybrid;
-  p.protectedSubjobs = {1, 2};
-  p.provisionSpares = true;
-  p.failStopAfter = 3 * kSecond;
-  p.duration = 10 * kSecond;
-  p.seed = seed;
-  harness::ChaosProfile profile;
-  profile.maxDuplicateProb = 0.05;
-  profile.maxDelayProb = 0.1;
-  profile.restartCrashed = true;
-  profile.faultsFrom = 3 * kSecond;
-  profile.faultsUntil = 8 * kSecond;
-  p.faults = harness::makeChaosPlan(p, profile, seed).schedule;
-  p.faultSeedSalt = seed;
-  return p;
-}
-
 struct CorpusRun {
   std::string name;
   std::function<std::string()> run;
@@ -168,15 +124,12 @@ std::vector<CorpusRun> corpusRuns() {
                     return runScenario(p);
                   }});
 
-  harness::ChaosRunOpts traced;
-  traced.quiescentDrain = false;
-  traced.maxDrain = 12 * kSecond;
-  traced.captureTrace = true;
   for (std::uint64_t seed : {5ull, 9ull}) {
-    runs.push_back({"traced_chaos.seed" + std::to_string(seed), [seed, traced] {
-                      const harness::ChaosOutcome out =
-                          harness::runChaosScenario(tracedChaosParams(seed),
-                                                    traced);
+    runs.push_back({"traced_chaos.seed" + std::to_string(seed), [seed] {
+                      ScenarioParams p = harness::tracedChaosParams(seed);
+                      p.trace.messageEvents = true;
+                      const harness::ChaosOutcome out = harness::runChaosScenario(
+                          p, harness::tracedChaosOpts());
                       return corpusEntry(out.resultFingerprint, out.trace);
                     }});
   }
@@ -184,8 +137,9 @@ std::vector<CorpusRun> corpusRuns() {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     runs.push_back({"substrate_chaos.seed" + std::to_string(seed), [seed] {
                       const harness::ChaosOutcome out =
-                          harness::runChaosScenario(substrateChaosParams(seed),
-                                                    harness::ChaosRunOpts{});
+                          harness::runChaosScenario(
+                              harness::substrateProfileParams(seed),
+                              harness::ChaosRunOpts{});
                       return out.resultFingerprint;
                     }});
   }

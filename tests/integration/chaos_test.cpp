@@ -107,36 +107,17 @@ TEST(FaultChaosSweep, ExactlyOnceUnderLossPartitionAndCrashSeeds151To200) {
 }
 
 // ---------------------------------------------------------------------------
-// Seeds of the substrate chaos profile (bench/micro_substrate.cpp, also the
-// benchmark's chaos_sweep workload) that lost data: on seeds 506 and 1316 the
-// standby crashed while its resume task was queued, and the fail-stop timer
-// later promoted a copy that had never resumed -- suspended, behind inactive
-// wires -- which wedged the subjob for good.
+// Seeds of the substrate chaos profile (harness::substrateProfileParams,
+// also the benchmark's chaos_sweep workload) that lost data: on seeds 506 and
+// 1316 the standby crashed while its resume task was queued, and the
+// fail-stop timer later promoted a copy that had never resumed -- suspended,
+// behind inactive wires -- which wedged the subjob for good.
 // ---------------------------------------------------------------------------
-
-ScenarioParams substrateProfileParams(std::uint64_t seed) {
-  ScenarioParams p;
-  p.mode = HaMode::kHybrid;
-  p.protectedSubjobs = {1, 2};
-  p.provisionSpares = true;
-  p.failStopAfter = 3 * kSecond;
-  p.duration = 10 * kSecond;
-  p.seed = seed;
-  harness::ChaosProfile profile;
-  profile.maxDuplicateProb = 0.05;
-  profile.maxDelayProb = 0.1;
-  profile.restartCrashed = true;
-  profile.faultsFrom = 3 * kSecond;
-  profile.faultsUntil = 8 * kSecond;
-  p.faults = harness::makeChaosPlan(p, profile, seed).schedule;
-  p.faultSeedSalt = seed;
-  return p;
-}
 
 TEST(SubstrateProfileChaos, ExactlyOnceWhenTheStandbyCrashesDuringResume) {
   const std::vector<std::uint64_t> seeds = {506, 1316};
   const std::vector<harness::ChaosOutcome> outcomes = harness::runChaosSweep(
-      seeds, substrateProfileParams, harness::ChaosRunOpts{});
+      seeds, harness::substrateProfileParams, harness::ChaosRunOpts{});
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     EXPECT_TRUE(outcomes[i].oracle.ok)
         << "seed " << seeds[i] << ": " << outcomes[i].oracle.summary();

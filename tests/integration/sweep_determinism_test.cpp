@@ -19,51 +19,13 @@
 namespace streamha {
 namespace {
 
-/// Mid-weight chaos: loss + duplicates + jitter on every kind, one healed
-/// partition, one restarting crash -- compressed into a 12s run so the
-/// serial re-run of every seed stays cheap even under TSan.
-harness::ChaosProfile determinismProfile() {
-  harness::ChaosProfile profile;
-  profile.maxLossProb = 0.05;
-  profile.maxDuplicateProb = 0.05;
-  profile.maxDelayProb = 0.1;
-  profile.restartCrashed = true;
-  profile.faultsFrom = 3 * kSecond;
-  profile.faultsUntil = 9 * kSecond;
-  return profile;
-}
-
-ScenarioParams determinismParams(std::uint64_t seed) {
-  ScenarioParams p;
-  p.mode = HaMode::kHybrid;
-  p.protectedSubjobs = {1, 2};
-  p.provisionSpares = true;
-  p.failStopAfter = 3 * kSecond;
-  p.duration = 12 * kSecond;
-  p.seed = seed;
-  p.trace.enabled = true;
-  const harness::ChaosPlan plan =
-      harness::makeChaosPlan(p, determinismProfile(), seed);
-  p.faults = plan.schedule;
-  p.faultSeedSalt = seed;
-  return p;
-}
-
-harness::ChaosRunOpts tracedOpts() {
-  harness::ChaosRunOpts opts;
-  opts.quiescentDrain = false;
-  opts.maxDrain = 12 * kSecond;
-  opts.captureTrace = true;
-  return opts;
-}
-
 TEST(SweepDeterminism, ParallelSweepIsBitIdenticalToSerialPerSeed) {
   const std::vector<std::uint64_t> seeds = harness::seedRange(1, 6);
 
   SweepOptions parallel;
   parallel.threads = 4;
   const std::vector<harness::ChaosOutcome> outcomes = harness::runChaosSweep(
-      seeds, determinismParams, tracedOpts(), parallel);
+      seeds, harness::tracedChaosParams, harness::tracedChaosOpts(), parallel);
 
   ASSERT_EQ(outcomes.size(), seeds.size());
   for (std::size_t i = 0; i < seeds.size(); ++i) {
@@ -73,8 +35,9 @@ TEST(SweepDeterminism, ParallelSweepIsBitIdenticalToSerialPerSeed) {
 
   // Re-run every seed serially on this thread and compare trace + result
   // fingerprint byte for byte.
-  const std::vector<std::string> mismatches = harness::serialCrossCheck(
-      seeds, outcomes, determinismParams, tracedOpts(), seeds);
+  const std::vector<std::string> mismatches =
+      harness::serialCrossCheck(seeds, outcomes, harness::tracedChaosParams,
+                                harness::tracedChaosOpts(), seeds);
   EXPECT_TRUE(mismatches.empty()) << mismatches.front();
 }
 
