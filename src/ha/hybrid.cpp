@@ -117,7 +117,7 @@ void HybridCoordinator::resumeSecondary(std::size_t idx) {
     // Resume the pre-deployed suspended copy: a flag flip plus a small
     // amount of control work on the standby machine.
     secondary_->machine().submitData(rt_.costs().resumeWorkUs, [this, idx] {
-      if (!resume_in_flight_) return;  // A re-issued resume ran first.
+      if (!resume_in_flight_) return;  // A resubmitted resume ran first.
       resume_in_flight_ = false;
       if (!switched_ || promoting_) return;  // Rolled back before resume.
       secondary_->unsuspendAll();
@@ -144,7 +144,7 @@ void HybridCoordinator::resumeSecondary(std::size_t idx) {
     // Ablation: no pre-deployment -- pay the full deployment cost now.
     Machine& standby = cluster().machine(params_.standbyMachine);
     standby.submitData(rt_.costs().deployWorkUs, [this, idx] {
-      if (!resume_in_flight_) return;  // A re-issued deploy ran first.
+      if (!resume_in_flight_) return;  // A resubmitted deploy ran first.
       resume_in_flight_ = false;
       if (!switched_ || promoting_) return;
       secondary_ = &rt_.instantiate(subjob_, params_.standbyMachine,
@@ -367,7 +367,7 @@ void HybridCoordinator::promote() {
   if (resume_in_flight_) {
     // The secondary never resumed: a crash of the standby machine drops its
     // queued resume task, leaving the copy suspended behind inactive wires,
-    // and promoting it would wedge the subjob. Re-issue the resume and give
+    // and promoting it would wedge the subjob. Resubmit the resume and give
     // the switchover a fresh fail-stop period (the detector may also clear
     // the primary meanwhile, which rolls back instead).
     resumeSecondary(current_timeline_);
